@@ -6,8 +6,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spk_sparse::ColView;
 use spkadd::hashtab::HashAccumulator;
 use spkadd::heap::KwayHeap;
-use spkadd::kernels::{hash_add_column, heap_add_column, spa_add_column};
+use spkadd::kernels::{hash_add_column_with, heap_add_column_with, spa_add_column_with};
 use spkadd::mem::NullModel;
+use spkadd::monoid::Plus;
 use spkadd::spa::Spa;
 
 /// Builds k sorted pseudo-random columns of ~d entries over m rows.
@@ -42,12 +43,13 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("hash", format!("d{d}_k{k}")), |b| {
             let mut ht = HashAccumulator::<f64>::with_capacity(out_cap);
             b.iter(|| {
-                hash_add_column(
+                hash_add_column_with(
                     &views,
                     &mut ht,
                     &mut out_rows,
                     &mut out_vals,
                     true,
+                    Plus::new(),
                     &mut NullModel,
                 )
             });
@@ -55,12 +57,13 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("spa", format!("d{d}_k{k}")), |b| {
             let mut spa = Spa::<f64>::new(m);
             b.iter(|| {
-                spa_add_column(
+                spa_add_column_with(
                     &views,
                     &mut spa,
                     &mut out_rows,
                     &mut out_vals,
                     true,
+                    Plus::new(),
                     &mut NullModel,
                 )
             });
@@ -68,11 +71,12 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("heap", format!("d{d}_k{k}")), |b| {
             let mut heap = KwayHeap::<f64>::new(k);
             b.iter(|| {
-                heap_add_column(
+                heap_add_column_with(
                     &views,
                     &mut heap,
                     &mut out_rows,
                     &mut out_vals,
+                    Plus::new(),
                     &mut NullModel,
                 )
             });

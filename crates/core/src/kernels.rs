@@ -2,16 +2,17 @@
 //!
 //! These are the bodies of the paper's Algorithms 3–6 operating on the
 //! `j`-th columns of all `k` inputs. The parallel drivers in `crate::kway`
-//! call them per column; `spk-cachesim` calls them directly to replay
-//! address streams; the metered drivers call them with a
-//! [`crate::mem::CountingModel`] to validate Table I.
+//! call them per column, under a [`crate::mem::NullModel`] in production
+//! and under the caller's model in the metered drivers (a
+//! [`crate::mem::CountingModel`] to validate Table I, a cache hierarchy
+//! to replay address streams for Table V).
 
 use crate::hashtab::{HashAccumulator, SymbolicHashTable};
 use crate::heap::KwayHeap;
 use crate::mem::MemModel;
-use crate::monoid::{Monoid, Plus};
+use crate::monoid::Monoid;
 use crate::spa::Spa;
-use spk_sparse::{ColView, Element, Scalar};
+use spk_sparse::{ColView, Element};
 
 /// Streams one input column into the model (the load half of the paper's
 /// I/O accounting: every nonzero is read from memory exactly once in the
@@ -25,21 +26,9 @@ fn stream_column<T: Element, M: MemModel>(col: &ColView<'_, T>, mem: &mut M) {
     }
 }
 
-/// HashAdd (Algorithm 5): accumulates all input columns into `ht`, then
-/// emits into the output slices. Returns the entries written.
-pub fn hash_add_column<T: Scalar, M: MemModel>(
-    cols: &[ColView<'_, T>],
-    ht: &mut HashAccumulator<T>,
-    out_rows: &mut [u32],
-    out_vals: &mut [T],
-    sorted: bool,
-    mem: &mut M,
-) -> usize {
-    hash_add_column_with(cols, ht, out_rows, out_vals, sorted, Plus::new(), mem)
-}
-
-/// Monoid-generic HashAdd — [`hash_add_column`] with an arbitrary
-/// [`Monoid`] folding duplicate rows.
+/// HashAdd (Algorithm 5): accumulates all input columns into `ht`,
+/// folding duplicate rows with `monoid`, then emits into the output
+/// slices. Returns the entries written.
 pub fn hash_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
     cols: &[ColView<'_, T>],
     ht: &mut HashAccumulator<T>,
@@ -106,20 +95,8 @@ pub fn hash_symbolic_column<T: Element, M: MemModel>(
 }
 
 /// SPAAdd (Algorithm 4): scatters all input columns into the dense
-/// accumulator, then gathers. Returns the entries written.
-pub fn spa_add_column<T: Scalar, M: MemModel>(
-    cols: &[ColView<'_, T>],
-    spa: &mut Spa<T>,
-    out_rows: &mut [u32],
-    out_vals: &mut [T],
-    sorted: bool,
-    mem: &mut M,
-) -> usize {
-    spa_add_column_with(cols, spa, out_rows, out_vals, sorted, Plus::new(), mem)
-}
-
-/// Monoid-generic SPAAdd — [`spa_add_column`] with an arbitrary
-/// [`Monoid`] folding duplicate rows.
+/// accumulator, folding duplicate rows with `monoid`, then gathers.
+/// Returns the entries written.
 pub fn spa_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
     cols: &[ColView<'_, T>],
     spa: &mut Spa<T>,
@@ -177,20 +154,9 @@ pub fn spa_symbolic_column<T: Element, M: MemModel>(
     spa.drain_count()
 }
 
-/// HeapAdd (Algorithm 3): k-way merge of sorted columns. Output is always
-/// sorted. Returns the entries written.
-pub fn heap_add_column<T: Scalar, M: MemModel>(
-    cols: &[ColView<'_, T>],
-    heap: &mut KwayHeap<T>,
-    out_rows: &mut [u32],
-    out_vals: &mut [T],
-    mem: &mut M,
-) -> usize {
-    heap.add_column(cols, out_rows, out_vals, mem)
-}
-
-/// Monoid-generic HeapAdd — [`heap_add_column`] with an arbitrary
-/// [`Monoid`] folding duplicate rows.
+/// HeapAdd (Algorithm 3): k-way merge of sorted columns, folding
+/// duplicate rows with `monoid`. Output is always sorted. Returns the
+/// entries written.
 pub fn heap_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
     cols: &[ColView<'_, T>],
     heap: &mut KwayHeap<T>,
@@ -215,6 +181,7 @@ pub fn heap_symbolic_column<T: Element, M: MemModel>(
 mod tests {
     use super::*;
     use crate::mem::NullModel;
+    use crate::monoid::Plus;
 
     fn views() -> Vec<ColView<'static, f64>> {
         // The paper's Fig 1(a) example.
@@ -257,19 +224,42 @@ mod tests {
         let mut ht = HashAccumulator::<f64>::with_capacity(16);
         let mut rows = vec![0u32; 11];
         let mut vals = vec![0.0f64; 11];
-        let n = hash_add_column(&cols, &mut ht, &mut rows, &mut vals, true, &mut mem);
+        let n = hash_add_column_with(
+            &cols,
+            &mut ht,
+            &mut rows,
+            &mut vals,
+            true,
+            Plus::new(),
+            &mut mem,
+        );
         assert_eq!(n, 6);
         assert_eq!(&rows[..6], &EXPECT_ROWS);
         assert_eq!(&vals[..6], &EXPECT_VALS);
 
         let mut spa = Spa::<f64>::new(8);
-        let n = spa_add_column(&cols, &mut spa, &mut rows, &mut vals, true, &mut mem);
+        let n = spa_add_column_with(
+            &cols,
+            &mut spa,
+            &mut rows,
+            &mut vals,
+            true,
+            Plus::new(),
+            &mut mem,
+        );
         assert_eq!(n, 6);
         assert_eq!(&rows[..6], &EXPECT_ROWS);
         assert_eq!(&vals[..6], &EXPECT_VALS);
 
         let mut heap = KwayHeap::<f64>::new(4);
-        let n = heap_add_column(&cols, &mut heap, &mut rows, &mut vals, &mut mem);
+        let n = heap_add_column_with(
+            &cols,
+            &mut heap,
+            &mut rows,
+            &mut vals,
+            Plus::new(),
+            &mut mem,
+        );
         assert_eq!(n, 6);
         assert_eq!(&rows[..6], &EXPECT_ROWS);
         assert_eq!(&vals[..6], &EXPECT_VALS);
@@ -298,7 +288,15 @@ mod tests {
         let mut ht = HashAccumulator::<f64>::with_capacity(8);
         let mut rows = vec![0u32; 3];
         let mut vals = vec![0.0f64; 3];
-        let n = hash_add_column(&cols, &mut ht, &mut rows, &mut vals, true, &mut NullModel);
+        let n = hash_add_column_with(
+            &cols,
+            &mut ht,
+            &mut rows,
+            &mut vals,
+            true,
+            Plus::new(),
+            &mut NullModel,
+        );
         assert_eq!(n, 3);
         assert_eq!(rows, vec![1, 3, 6]);
     }
@@ -310,7 +308,15 @@ mod tests {
         let mut rows = vec![0u32; 0];
         let mut vals = vec![0.0f64; 0];
         assert_eq!(
-            hash_add_column(&cols, &mut ht, &mut rows, &mut vals, true, &mut NullModel),
+            hash_add_column_with(
+                &cols,
+                &mut ht,
+                &mut rows,
+                &mut vals,
+                true,
+                Plus::new(),
+                &mut NullModel
+            ),
             0
         );
     }

@@ -1,27 +1,33 @@
 //! The parallel k-way numeric driver (Algorithm 2 + §III-A).
 //!
-//! One code path serves the heap, SPA, hash, and sliding-hash algorithms:
-//! the symbolic phase has already produced per-column output sizes, so the
-//! driver prefix-sums them into the output column pointer, splits the
-//! output arrays into per-task disjoint windows (no synchronization), and
-//! runs the chosen column kernel over weight-balanced column ranges with
-//! thread-private workspaces **borrowed from the caller's
-//! [`WorkspacePool`]** — a plan executed repeatedly reuses its tables,
-//! SPA panels, and heap buffers instead of reallocating them per call.
+//! One code path serves the heap, SPA, hash, and sliding algorithms, on
+//! both a cold execution and a pattern-cache hit: the output structure
+//! comes either from the symbolic phase's per-column sizes (prefix-summed
+//! into the output column pointer) or from a cached pattern. The driver
+//! splits the output arrays into per-task disjoint windows (no
+//! synchronization) and runs the chosen column kernel over
+//! weight-balanced column ranges with thread-private workspaces
+//! **borrowed from the caller's [`WorkspacePool`]** — a plan executed
+//! repeatedly reuses its tables, SPA panels, and heap buffers instead of
+//! reallocating them per call. The per-chunk body, `numeric_range`, is
+//! also what the metered (Table I/V) drivers run.
 
 use crate::kernels::{
     hash_add_column_with, hash_numeric_only_column, heap_add_column_with, spa_add_column_with,
     spa_numeric_only_column,
 };
-use crate::mem::NullModel;
+use crate::mem::{MemModel, NullModel};
 use crate::monoid::Monoid;
-use crate::parallel::{exclusive_prefix_sum, exclusive_prefix_sum_into, plan_ranges, split_output};
+use crate::parallel::{
+    exclusive_prefix_sum, exclusive_prefix_sum_into, plan_ranges, split_output, OutChunk,
+};
 use crate::pattern::Pattern;
 use crate::sliding::sliding_add_column_with;
 use crate::spa::sliding_spa_add_column_with;
 use crate::symbolic::DriverCtx;
 use crate::tuning::{ChunkProfile, ChunkScorer};
-use crate::workspace::WorkspacePool;
+use crate::workspace::{Workspace, WorkspacePool};
+use crate::Algorithm;
 use rayon::prelude::*;
 use spk_sparse::{ColView, CscMatrix, Element};
 use std::ops::Range;
@@ -78,6 +84,20 @@ impl NumericKernel {
             NumericKernel::Spa => "kway.dispatch.spa",
             NumericKernel::SlidingSpa => "kway.dispatch.sliding-spa",
             NumericKernel::Heap => "kway.dispatch.heap",
+        }
+    }
+
+    /// The column kernel of a k-way algorithm; `None` for the 2-way and
+    /// library folds, which never reach this driver (and for `Auto`,
+    /// which resolves first).
+    pub(crate) fn for_algorithm(alg: Algorithm) -> Option<Self> {
+        match alg {
+            Algorithm::Heap => Some(NumericKernel::Heap),
+            Algorithm::Spa => Some(NumericKernel::Spa),
+            Algorithm::Hash => Some(NumericKernel::Hash),
+            Algorithm::SlidingHash => Some(NumericKernel::SlidingHash),
+            Algorithm::SlidingSpa => Some(NumericKernel::SlidingSpa),
+            _ => None,
         }
     }
 
@@ -289,11 +309,29 @@ impl<T: Element> RecycledBufs<T> {
     }
 }
 
-/// Runs the numeric phase. `counts[j]` must be an exact size or an upper
-/// bound for `nnz(B(:,j))`; when it is only an upper bound
-/// (`exact = false`) the result is compacted afterwards. A filtering
-/// monoid demotes every count to an upper bound — the symbolic phase is
-/// value-free and cannot predict what `keep` will drop.
+/// Where the numeric phase takes the output structure from.
+#[derive(Debug)]
+pub(crate) enum Structure<'a> {
+    /// Per-column sizes from the symbolic phase. When they are only upper
+    /// bounds (`exact = false`, or any filtering monoid — the symbolic
+    /// phase is value-free and cannot predict what `keep` will drop) the
+    /// result is compacted afterwards.
+    Counts { counts: &'a [usize], exact: bool },
+    /// A pattern-cache hit: the output `colptr`/`rowidx` are known, so
+    /// they are copied into the output and the symbolic phase never ran.
+    /// Only reached for non-filtering monoids (the plan layer bypasses
+    /// the cache for filtering ones), so every cached count is exact.
+    Cached(&'a Pattern),
+}
+
+/// Runs the numeric phase over weight-balanced column chunks in parallel,
+/// with thread-private workspaces from `pool`.
+///
+/// On a [`Structure::Cached`] hit the hash and SPA chunks gather values
+/// by the cached row order ([`hash_numeric_only_column`] /
+/// [`spa_numeric_only_column`]) instead of draining and sorting; the heap
+/// and sliding kernels run their normal pass into the exact per-column
+/// windows, rewriting the pre-copied rows with identical content.
 ///
 /// Returns the output and the per-chunk kernel decisions (one entry per
 /// weight-balanced range, in range order) — a constant vector under
@@ -301,43 +339,56 @@ impl<T: Element> RecycledBufs<T> {
 /// Every kernel folds duplicates in matrix order and fills the same
 /// per-column windows, so the decisions change *how* each chunk is
 /// materialized, never its bits.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
     mats: &[&CscMatrix<T>],
-    counts: &[usize],
-    exact: bool,
+    structure: Structure<'_>,
     dispatch: &KernelDispatch,
     monoid: O,
     ctx: &DriverCtx,
     pool: &WorkspacePool<T>,
     recycle: RecycledBufs<T>,
 ) -> (CscMatrix<T>, Vec<NumericKernel>) {
-    let exact = exact && !O::MAY_FILTER;
     let n = mats[0].ncols();
     let m = mats[0].nrows();
-    let k = mats.len();
-    debug_assert_eq!(counts.len(), n);
 
     let RecycledBufs {
         mut colptr,
         rows: mut rowidx,
         vals: mut values,
     } = recycle;
-    exclusive_prefix_sum_into(counts, &mut colptr);
-    let nnz_alloc = *colptr.last().unwrap();
     rowidx.clear();
-    rowidx.resize(nnz_alloc, 0u32);
+    let cached_counts: Vec<usize>;
+    let (counts, exact, gather) = match structure {
+        Structure::Counts { counts, exact } => {
+            debug_assert_eq!(counts.len(), n);
+            exclusive_prefix_sum_into(counts, &mut colptr);
+            rowidx.resize(*colptr.last().unwrap(), 0u32);
+            (counts, exact && !O::MAY_FILTER, false)
+        }
+        Structure::Cached(pattern) => {
+            debug_assert!(!O::MAY_FILTER, "filtering monoids must bypass the cache");
+            debug_assert_eq!(pattern.colptr.len(), n + 1);
+            colptr.clear();
+            colptr.extend_from_slice(&pattern.colptr);
+            rowidx.extend_from_slice(&pattern.rowidx);
+            cached_counts = colptr.windows(2).map(|w| w[1] - w[0]).collect();
+            (cached_counts.as_slice(), true, true)
+        }
+    };
     values.clear();
-    values.resize(nnz_alloc, T::default());
+    values.resize(rowidx.len(), T::default());
 
     // Numeric-phase load balancing uses output nonzeros per column (§III-A).
     let ranges = plan_ranges(counts, 0, ctx.sched);
     // Kernel-per-chunk decisions come from structure the symbolic phase
-    // already fixed, before any value is touched.
+    // (or the cache) already fixed, before any value is touched. A
+    // memoized dispatch replays the cold run's decisions: identical
+    // counts reproduce identical ranges, so warm hits never rescore.
     let decisions = decide_kernels(mats, &colptr, &ranges, dispatch);
     let chunks = split_output(&colptr, &ranges, &mut rowidx, &mut values);
 
-    // Per-task actual counts (differ from `counts` when inexact).
+    // Per-column entries actually written (differ from `counts` when
+    // inexact).
     let mut actual = vec![0usize; n];
     let mut actual_parts: Vec<&mut [usize]> = Vec::with_capacity(ranges.len());
     {
@@ -353,9 +404,7 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
         .into_par_iter()
         .zip(actual_parts.into_par_iter())
         .zip(decisions.clone().into_par_iter())
-        .for_each(|((chunk, actual_out), kernel)| {
-            let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
-            let mut mem = NullModel;
+        .for_each(|((chunk, written), kernel)| {
             // Thread-private workspaces (§III-A): one per worker, reused
             // across all chunks that worker steals — and across plan
             // executions, because the pool outlives this call. Under
@@ -363,85 +412,20 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
             // families; the pool's components are lazy, so only the
             // families actually dispatched get built.
             let mut ws = pool.for_current_thread();
-            for (slot, j) in chunk.cols.clone().enumerate() {
-                views.clear();
-                views.extend(mats.iter().map(|a| a.col(j)));
-                let lo = colptr[j] - chunk.base;
-                let hi = colptr[j + 1] - chunk.base;
-                let out_rows = &mut chunk.rows[lo..hi];
-                let out_vals = &mut chunk.vals[lo..hi];
-                let written = match kernel {
-                    NumericKernel::Hash => {
-                        let ht = ws.hash();
-                        ht.reserve_for(hi - lo);
-                        hash_add_column_with(
-                            &views,
-                            ht,
-                            out_rows,
-                            out_vals,
-                            ctx.sorted_output,
-                            monoid,
-                            &mut mem,
-                        )
-                    }
-                    NumericKernel::SlidingHash => {
-                        let (ht, scratch) = ws.hash_and_scratch();
-                        sliding_add_column_with(
-                            &views,
-                            m,
-                            ctx.budget_add,
-                            hi - lo,
-                            ht,
-                            out_rows,
-                            out_vals,
-                            ctx.sorted_output,
-                            ctx.inputs_sorted,
-                            monoid,
-                            scratch,
-                            &mut mem,
-                        )
-                    }
-                    NumericKernel::Spa => spa_add_column_with(
-                        &views,
-                        ws.spa(m),
-                        out_rows,
-                        out_vals,
-                        ctx.sorted_output,
-                        monoid,
-                        &mut mem,
-                    ),
-                    NumericKernel::SlidingSpa => {
-                        // One cache-resident row panel at a time (the
-                        // §IV-B(b) extension).
-                        let (spa, scratch) = ws.spa_and_scratch(m.min(ctx.budget_add.max(1)));
-                        sliding_spa_add_column_with(
-                            &views,
-                            m,
-                            ctx.budget_add,
-                            spa,
-                            out_rows,
-                            out_vals,
-                            ctx.sorted_output,
-                            ctx.inputs_sorted,
-                            monoid,
-                            scratch,
-                            &mut mem,
-                        )
-                    }
-                    NumericKernel::Heap => heap_add_column_with(
-                        &views,
-                        ws.heap(k),
-                        out_rows,
-                        out_vals,
-                        monoid,
-                        &mut mem,
-                    ),
-                };
-                debug_assert!(written <= hi - lo);
-                debug_assert!(!exact || written == hi - lo);
-                actual_out[slot] = written;
-            }
+            numeric_range(
+                mats,
+                kernel,
+                &colptr,
+                chunk,
+                written,
+                gather,
+                monoid,
+                ctx,
+                &mut ws,
+                &mut NullModel,
+            );
         });
+    debug_assert!(!exact || actual == counts, "exact count mismatch");
 
     let out = if exact {
         CscMatrix::from_parts(m, n, colptr, rowidx, values)
@@ -451,145 +435,101 @@ pub(crate) fn kway_numeric<T: Element, O: Monoid<Value = T>>(
     (out, decisions)
 }
 
-/// Numeric-only driver for a pattern-cache hit: the output structure is
-/// already known, so the symbolic phase is skipped entirely — the cached
-/// `colptr`/`rowidx` are copied into the (recycled) output buffers and
-/// only values are computed. The hash and SPA kernels additionally skip
-/// their per-column output sort via [`HashAccumulator::gather_reset`] /
-/// [`Spa::gather_reset`] (the row order is the cached one); the heap and
-/// sliding kernels run their normal numeric pass into the exact
-/// per-column windows, overwriting the pre-copied rows with identical
-/// values.
-///
-/// Only reached for non-filtering monoids (a filtering monoid's output
-/// structure is value-dependent, so the plan layer bypasses the cache),
-/// which also means every cached count is exact — no compaction pass.
-///
-/// [`HashAccumulator::gather_reset`]: crate::hashtab::HashAccumulator::gather_reset
-/// [`Spa::gather_reset`]: crate::spa::Spa::gather_reset
+/// Runs `kernel` over the columns of one output chunk, recording the
+/// entries written per column in `written` — the one dispatch over
+/// [`NumericKernel`]. `colptr` is the global output column pointer.
+/// With `gather` set the chunk's rows already hold the output structure
+/// (a pattern-cache hit), and the hash and SPA kernels only gather
+/// values. The parallel driver calls this once per chunk with
+/// [`NullModel`]; the metered drivers call it once over all columns with
+/// the caller's [`MemModel`], so both run the same code.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn kway_numeric_cached<T: Element, O: Monoid<Value = T>>(
+pub(crate) fn numeric_range<T: Element, O: Monoid<Value = T>, M: MemModel>(
     mats: &[&CscMatrix<T>],
-    pattern: &Pattern,
-    dispatch: &KernelDispatch,
+    kernel: NumericKernel,
+    colptr: &[usize],
+    chunk: OutChunk<'_, T>,
+    written: &mut [usize],
+    gather: bool,
     monoid: O,
     ctx: &DriverCtx,
-    pool: &WorkspacePool<T>,
-    recycle: RecycledBufs<T>,
-) -> (CscMatrix<T>, Vec<NumericKernel>) {
-    debug_assert!(!O::MAY_FILTER, "filtering monoids must bypass the cache");
-    let n = mats[0].ncols();
+    ws: &mut Workspace<T>,
+    mem: &mut M,
+) {
+    debug_assert_eq!(written.len(), chunk.cols.len());
     let m = mats[0].nrows();
     let k = mats.len();
-    debug_assert_eq!(pattern.colptr.len(), n + 1);
-
-    let RecycledBufs {
-        mut colptr,
-        rows: mut rowidx,
-        vals: mut values,
-    } = recycle;
-    colptr.clear();
-    colptr.extend_from_slice(&pattern.colptr);
-    let nnz = *colptr.last().unwrap();
-    rowidx.clear();
-    rowidx.extend_from_slice(&pattern.rowidx);
-    values.clear();
-    values.resize(nnz, T::default());
-
-    let counts: Vec<usize> = colptr.windows(2).map(|w| w[1] - w[0]).collect();
-    let ranges = plan_ranges(&counts, 0, ctx.sched);
-    // A memoized dispatch replays the cold run's per-chunk decisions;
-    // the identical counts reproduce the identical ranges, so no chunk
-    // is ever rescored on the warm path.
-    let decisions = decide_kernels(mats, &colptr, &ranges, dispatch);
-    let chunks = split_output(&colptr, &ranges, &mut rowidx, &mut values);
-
-    chunks
-        .into_par_iter()
-        .zip(decisions.clone().into_par_iter())
-        .for_each(|(chunk, kernel)| {
-            let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
-            let mut mem = NullModel;
-            let mut ws = pool.for_current_thread();
-            for j in chunk.cols.clone() {
-                views.clear();
-                views.extend(mats.iter().map(|a| a.col(j)));
-                let lo = colptr[j] - chunk.base;
-                let hi = colptr[j + 1] - chunk.base;
-                let out_rows = &mut chunk.rows[lo..hi];
-                let out_vals = &mut chunk.vals[lo..hi];
-                match kernel {
-                    NumericKernel::Hash => {
-                        let ht = ws.hash();
-                        ht.reserve_for(hi - lo);
-                        hash_numeric_only_column(&views, ht, out_rows, out_vals, monoid, &mut mem);
-                    }
-                    NumericKernel::Spa => spa_numeric_only_column(
-                        &views,
-                        ws.spa(m),
-                        out_rows,
-                        out_vals,
-                        monoid,
-                        &mut mem,
-                    ),
-                    // The sliding and heap kernels emit rows themselves; with
-                    // exact cached counts they rewrite the pre-copied rows
-                    // with the same content, so only the symbolic skip (the
-                    // full-input sweep) is saved for these families.
-                    NumericKernel::SlidingHash => {
-                        let (ht, scratch) = ws.hash_and_scratch();
-                        let written = sliding_add_column_with(
-                            &views,
-                            m,
-                            ctx.budget_add,
-                            hi - lo,
-                            ht,
-                            out_rows,
-                            out_vals,
-                            ctx.sorted_output,
-                            ctx.inputs_sorted,
-                            monoid,
-                            scratch,
-                            &mut mem,
-                        );
-                        debug_assert_eq!(written, hi - lo, "cached count mismatch");
-                    }
-                    NumericKernel::SlidingSpa => {
-                        let (spa, scratch) = ws.spa_and_scratch(m.min(ctx.budget_add.max(1)));
-                        let written = sliding_spa_add_column_with(
-                            &views,
-                            m,
-                            ctx.budget_add,
-                            spa,
-                            out_rows,
-                            out_vals,
-                            ctx.sorted_output,
-                            ctx.inputs_sorted,
-                            monoid,
-                            scratch,
-                            &mut mem,
-                        );
-                        debug_assert_eq!(written, hi - lo, "cached count mismatch");
-                    }
-                    NumericKernel::Heap => {
-                        let written = heap_add_column_with(
-                            &views,
-                            ws.heap(k),
-                            out_rows,
-                            out_vals,
-                            monoid,
-                            &mut mem,
-                        );
-                        debug_assert_eq!(written, hi - lo, "cached count mismatch");
-                    }
+    let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
+    for (slot, j) in written.iter_mut().zip(chunk.cols) {
+        views.clear();
+        views.extend(mats.iter().map(|a| a.col(j)));
+        let lo = colptr[j] - chunk.base;
+        let hi = colptr[j + 1] - chunk.base;
+        let out_rows = &mut chunk.rows[lo..hi];
+        let out_vals = &mut chunk.vals[lo..hi];
+        *slot = match kernel {
+            NumericKernel::Hash => {
+                let ht = ws.hash();
+                ht.reserve_for(hi - lo);
+                if gather {
+                    hash_numeric_only_column(&views, ht, out_rows, out_vals, monoid, mem);
+                    hi - lo
+                } else {
+                    let sorted = ctx.sorted_output;
+                    hash_add_column_with(&views, ht, out_rows, out_vals, sorted, monoid, mem)
                 }
             }
-        });
-
-    (
-        CscMatrix::from_parts(m, n, colptr, rowidx, values),
-        decisions,
-    )
+            NumericKernel::Spa => {
+                let spa = ws.spa(m);
+                if gather {
+                    spa_numeric_only_column(&views, spa, out_rows, out_vals, monoid, mem);
+                    hi - lo
+                } else {
+                    let sorted = ctx.sorted_output;
+                    spa_add_column_with(&views, spa, out_rows, out_vals, sorted, monoid, mem)
+                }
+            }
+            NumericKernel::SlidingHash => {
+                let (ht, scratch) = ws.hash_and_scratch();
+                sliding_add_column_with(
+                    &views,
+                    m,
+                    ctx.budget_add,
+                    hi - lo,
+                    ht,
+                    out_rows,
+                    out_vals,
+                    ctx.sorted_output,
+                    ctx.inputs_sorted,
+                    monoid,
+                    scratch,
+                    mem,
+                )
+            }
+            NumericKernel::SlidingSpa => {
+                // One cache-resident row panel at a time (the §IV-B(b)
+                // extension).
+                let (spa, scratch) = ws.spa_and_scratch(m.min(ctx.budget_add.max(1)));
+                sliding_spa_add_column_with(
+                    &views,
+                    m,
+                    ctx.budget_add,
+                    spa,
+                    out_rows,
+                    out_vals,
+                    ctx.sorted_output,
+                    ctx.inputs_sorted,
+                    monoid,
+                    scratch,
+                    mem,
+                )
+            }
+            NumericKernel::Heap => {
+                heap_add_column_with(&views, ws.heap(k), out_rows, out_vals, monoid, mem)
+            }
+        };
+        debug_assert!(*slot <= hi - lo);
+    }
 }
 
 /// Squeezes out the per-column slack left by an upper-bound allocation.
@@ -637,6 +577,28 @@ mod tests {
         WorkspacePool::new(rayon::current_num_threads())
     }
 
+    /// A cold `Plus` run of one fixed kernel over symbolic `counts`.
+    fn counted(
+        refs: &[&CscMatrix<f64>],
+        counts: &[usize],
+        exact: bool,
+        kernel: NumericKernel,
+        c: &DriverCtx,
+        ws: &WorkspacePool<f64>,
+    ) -> (CscMatrix<f64>, Vec<NumericKernel>) {
+        let structure = Structure::Counts { counts, exact };
+        let dispatch = KernelDispatch::Fixed(kernel);
+        kway_numeric(
+            refs,
+            structure,
+            &dispatch,
+            Plus::new(),
+            c,
+            ws,
+            RecycledBufs::default(),
+        )
+    }
+
     fn inputs() -> Vec<CscMatrix<f64>> {
         let a = CscMatrix::try_new(
             8,
@@ -680,16 +642,7 @@ mod tests {
             NumericKernel::Spa,
             NumericKernel::Heap,
         ] {
-            let (out, decisions) = kway_numeric(
-                &refs,
-                &counts,
-                true,
-                &KernelDispatch::Fixed(kernel),
-                Plus::new(),
-                &c,
-                &ws,
-                RecycledBufs::default(),
-            );
+            let (out, decisions) = counted(&refs, &counts, true, kernel, &c, &ws);
             assert_eq!(
                 DenseMatrix::from_csc(&out).max_abs_diff(&expect),
                 0.0,
@@ -709,6 +662,33 @@ mod tests {
     }
 
     #[test]
+    fn cached_structure_matches_the_cold_run_for_every_kernel() {
+        let ms = inputs();
+        let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
+        let c = ctx();
+        let ws = pool();
+        let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws);
+        for kernel in NumericKernel::ALL {
+            let (cold, _) = counted(&refs, &counts, true, kernel, &c, &ws);
+            let pattern = Pattern {
+                colptr: cold.colptr().to_vec(),
+                rowidx: cold.rowidx().to_vec(),
+                kernels: Arc::new(Vec::new()),
+            };
+            let (warm, _) = kway_numeric(
+                &refs,
+                Structure::Cached(&pattern),
+                &KernelDispatch::Fixed(kernel),
+                Plus::new(),
+                &c,
+                &ws,
+                RecycledBufs::default(),
+            );
+            assert_eq!(warm, cold, "{kernel:?}");
+        }
+    }
+
+    #[test]
     fn upper_bound_path_compacts() {
         let ms = inputs();
         let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
@@ -716,16 +696,7 @@ mod tests {
         let ws = pool();
         let upper = symbolic_counts(&refs, SymbolicStrategy::UpperBound, &c, &ws);
         let exact = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws);
-        let (out, _) = kway_numeric(
-            &refs,
-            &upper,
-            false,
-            &KernelDispatch::Fixed(NumericKernel::Hash),
-            Plus::new(),
-            &c,
-            &ws,
-            RecycledBufs::default(),
-        );
+        let (out, _) = counted(&refs, &upper, false, NumericKernel::Hash, &c, &ws);
         assert_eq!(out.nnz(), exact.iter().sum::<usize>());
         assert_eq!(
             DenseMatrix::from_csc(&out).max_abs_diff(&oracle(&refs)),
@@ -741,16 +712,7 @@ mod tests {
         c.sorted_output = false;
         let ws = pool();
         let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws);
-        let (out, _) = kway_numeric(
-            &refs,
-            &counts,
-            true,
-            &KernelDispatch::Fixed(NumericKernel::Hash),
-            Plus::new(),
-            &c,
-            &ws,
-            RecycledBufs::default(),
-        );
+        let (out, _) = counted(&refs, &counts, true, NumericKernel::Hash, &c, &ws);
         assert_eq!(
             DenseMatrix::from_csc(&out).max_abs_diff(&oracle(&refs)),
             0.0
@@ -766,16 +728,7 @@ mod tests {
         c.budget_sym = 16;
         let ws = pool();
         let counts = symbolic_counts(&refs, SymbolicStrategy::SlidingHash, &c, &ws);
-        let (out, _) = kway_numeric(
-            &refs,
-            &counts,
-            true,
-            &KernelDispatch::Fixed(NumericKernel::SlidingHash),
-            Plus::new(),
-            &c,
-            &ws,
-            RecycledBufs::default(),
-        );
+        let (out, _) = counted(&refs, &counts, true, NumericKernel::SlidingHash, &c, &ws);
         assert_eq!(
             DenseMatrix::from_csc(&out).max_abs_diff(&oracle(&refs)),
             0.0
@@ -790,27 +743,9 @@ mod tests {
         let mut c = ctx();
         let ws = pool();
         let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws);
-        let (dynamic, _) = kway_numeric(
-            &refs,
-            &counts,
-            true,
-            &KernelDispatch::Fixed(NumericKernel::Hash),
-            Plus::new(),
-            &c,
-            &ws,
-            RecycledBufs::default(),
-        );
+        let (dynamic, _) = counted(&refs, &counts, true, NumericKernel::Hash, &c, &ws);
         c.sched = Scheduling::Static;
-        let (stat, _) = kway_numeric(
-            &refs,
-            &counts,
-            true,
-            &KernelDispatch::Fixed(NumericKernel::Hash),
-            Plus::new(),
-            &c,
-            &ws,
-            RecycledBufs::default(),
-        );
+        let (stat, _) = counted(&refs, &counts, true, NumericKernel::Hash, &c, &ws);
         assert!(dynamic.approx_eq(&stat, 0.0));
     }
 
@@ -821,16 +756,7 @@ mod tests {
         let c = ctx();
         let ws = pool();
         let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws);
-        let (expect, _) = kway_numeric(
-            &refs,
-            &counts,
-            true,
-            &KernelDispatch::Fixed(NumericKernel::Hash),
-            Plus::new(),
-            &c,
-            &ws,
-            RecycledBufs::default(),
-        );
+        let (expect, _) = counted(&refs, &counts, true, NumericKernel::Hash, &c, &ws);
         let scorer = ChunkScorer {
             rows: 8,
             entry_bytes: 12,
@@ -840,8 +766,10 @@ mod tests {
         };
         let (out, decisions) = kway_numeric(
             &refs,
-            &counts,
-            true,
+            Structure::Counts {
+                counts: &counts,
+                exact: true,
+            },
             &KernelDispatch::Adaptive(scorer),
             Plus::new(),
             &c,
@@ -853,8 +781,10 @@ mod tests {
         // Replaying the decisions (the warm-hit path's dispatch) agrees.
         let (replay, replay_decisions) = kway_numeric(
             &refs,
-            &counts,
-            true,
+            Structure::Counts {
+                counts: &counts,
+                exact: true,
+            },
             &KernelDispatch::Memoized {
                 decisions: Arc::new(decisions.clone()),
                 scorer,
@@ -875,21 +805,14 @@ mod tests {
         let c = ctx();
         let ws = pool();
         let counts = symbolic_counts(&refs, SymbolicStrategy::Hash, &c, &ws);
-        let (first, _) = kway_numeric(
-            &refs,
-            &counts,
-            true,
-            &KernelDispatch::Fixed(NumericKernel::Hash),
-            Plus::new(),
-            &c,
-            &ws,
-            RecycledBufs::default(),
-        );
+        let (first, _) = counted(&refs, &counts, true, NumericKernel::Hash, &c, &ws);
         let expect = first.clone();
         let (again, _) = kway_numeric(
             &refs,
-            &counts,
-            true,
+            Structure::Counts {
+                counts: &counts,
+                exact: true,
+            },
             &KernelDispatch::Fixed(NumericKernel::Hash),
             Plus::new(),
             &c,

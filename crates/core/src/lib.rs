@@ -23,7 +23,7 @@
 //!
 //! Beyond the core API there are [`StreamingAccumulator`] (batched
 //! streaming, the paper's future-work mode), [`spkadd_csr`] (row-wise via
-//! zero-copy transpose duality), and [`spkadd_dcsc`] (hypersparse
+//! zero-copy transpose duality), and [`spkadd_dcsc_with`] (hypersparse
 //! doubly-compressed operands).
 //!
 //! ## Quick start: build a plan, execute it
@@ -60,10 +60,9 @@
 //! assert_eq!(again, sum);
 //! ```
 //!
-//! The historical one-shot entry points [`spkadd_with`] /
-//! [`spkadd_with_timings`] / [`spkadd_auto`] remain as thin
-//! compatibility shims over a throwaway plan; prefer holding a
-//! [`SpkAddPlan`] anywhere an addition runs more than once.
+//! [`spkadd_with`] is the one one-shot convenience: it builds a
+//! throwaway plan and executes it once. Prefer holding a [`SpkAddPlan`]
+//! anywhere an addition runs more than once.
 
 // No unsafe anywhere in this crate (checked repo-wide by spk-lint's
 // safety-comment rule where unsafe *is* allowed).
@@ -91,7 +90,7 @@ pub mod tuning;
 pub mod twoway;
 pub mod workspace;
 
-pub use dcscadd::spkadd_dcsc;
+pub use dcscadd::spkadd_dcsc_with;
 pub use error::SpkaddError;
 pub use kway::{KernelCounts, NumericKernel};
 pub use mem::{CountingModel, MemModel, NullModel};
@@ -103,7 +102,7 @@ pub use rowwise::spkadd_csr;
 pub use streaming::{FlushPolicy, StreamingAccumulator};
 pub use symbolic::SymbolicStrategy;
 pub use tuning::{choose_algorithm, CacheConfig, ChunkProfile, ChunkScorer};
-pub use twoway::add_pair;
+pub use twoway::add_pair_with;
 
 use spk_sparse::{common_shape, CscMatrix, Element, Scalar};
 
@@ -330,7 +329,7 @@ impl Options {
     /// Rejects nonsense configurations up front with a typed error, so
     /// they surface at plan construction instead of as a downstream
     /// panic or a silently clamped budget. Called by [`SpkAdd::build`]
-    /// (and therefore by every one-shot entry point).
+    /// (and therefore by [`spkadd_with`]).
     pub fn validate(&self) -> Result<(), SpkaddError> {
         if self.forced_table_entries == Some(0) {
             return Err(SpkaddError::InvalidOptions(
@@ -413,76 +412,28 @@ impl ExecuteStats {
     }
 }
 
-/// Adds a collection of sparse matrices with an explicit algorithm choice.
+/// Adds a collection of sparse matrices with an explicit algorithm choice
+/// — the one-shot convenience over a throwaway [`SpkAddPlan`].
 ///
 /// All inputs must share one shape. Algorithms flagged by
 /// [`Algorithm::needs_sorted_inputs`] reject unsorted inputs (unless
 /// `validate_sorted` is off); the hash and SPA families accept anything.
 ///
-/// **Compatibility shim**: builds a throwaway [`SpkAddPlan`] and executes
-/// it once, so every call re-allocates the kernel workspaces the plan
-/// exists to amortize. Callers that add more than once should hold a
-/// plan (`SpkAdd::new(m, n).algorithm(alg).build()`) instead.
+/// Every call re-allocates the kernel workspaces a plan exists to
+/// amortize. Callers that add more than once, want the phase timings
+/// ([`SpkAddPlan::execute_timed`]), or fold with another [`Monoid`]
+/// ([`SpkAdd::build_with_monoid`]) should hold a plan instead.
 pub fn spkadd_with<T: Scalar>(
     mats: &[&CscMatrix<T>],
     alg: Algorithm,
     opts: &Options,
 ) -> Result<CscMatrix<T>, SpkaddError> {
-    spkadd_with_timings(mats, alg, opts).map(|(out, _)| out)
-}
-
-/// Like [`spkadd_with`], additionally reporting the symbolic/numeric
-/// phase split — the quantity Fig 4 sweeps against the hash-table size.
-///
-/// **Compatibility shim** over a throwaway [`SpkAddPlan`]; see
-/// [`spkadd_with`].
-pub fn spkadd_with_timings<T: Scalar>(
-    mats: &[&CscMatrix<T>],
-    alg: Algorithm,
-    opts: &Options,
-) -> Result<(CscMatrix<T>, ExecuteStats), SpkaddError> {
     let (nrows, ncols) = common_shape(mats)?;
-    let mut plan = SpkAdd::new(nrows, ncols)
+    SpkAdd::new(nrows, ncols)
         .algorithm(alg)
         .options(opts.clone())
-        .build::<T>()?;
-    plan.execute_timed(mats)
-}
-
-/// Adds a collection of sparse matrices, picking the algorithm with the
-/// Fig 2 decision surface ([`choose_algorithm`]).
-///
-/// **Compatibility shim** for `spkadd_with(mats, Algorithm::Auto, opts)`;
-/// see [`spkadd_with`].
-pub fn spkadd_auto<T: Scalar>(
-    mats: &[&CscMatrix<T>],
-    opts: &Options,
-) -> Result<CscMatrix<T>, SpkaddError> {
-    spkadd_with(mats, Algorithm::Auto, opts)
-}
-
-/// One-shot k-way reduction under an arbitrary [`Monoid`] —
-/// [`spkadd_with`] is this with [`Plus`]. The same symbolic/numeric
-/// machinery runs unchanged: the symbolic phase is monoid-independent
-/// (output structure is the set union of input structures), and a
-/// filtering monoid merely demotes its counts to upper bounds that the
-/// numeric driver compacts away.
-///
-/// Like [`spkadd_with`], this builds a throwaway plan; callers reducing
-/// repeatedly should hold a plan via
-/// [`SpkAdd::build_with_monoid`](plan::SpkAdd::build_with_monoid).
-pub fn spkadd_with_monoid<T: spk_sparse::Element, O: Monoid<Value = T>>(
-    mats: &[&CscMatrix<T>],
-    monoid: O,
-    alg: Algorithm,
-    opts: &Options,
-) -> Result<CscMatrix<T>, SpkaddError> {
-    let (nrows, ncols) = common_shape(mats)?;
-    let mut plan = SpkAdd::new(nrows, ncols)
-        .algorithm(alg)
-        .options(opts.clone())
-        .build_with_monoid(monoid)?;
-    plan.execute(mats)
+        .build::<T>()?
+        .execute(mats)
 }
 
 #[cfg(test)]
@@ -606,7 +557,7 @@ mod tests {
     fn auto_picks_something_correct() {
         let ms = collection();
         let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
-        let out = spkadd_auto(&refs, &Options::default()).unwrap();
+        let out = spkadd_with(&refs, Algorithm::Auto, &Options::default()).unwrap();
         assert_eq!(
             DenseMatrix::from_csc(&out).max_abs_diff(&dense_sum(&refs)),
             0.0
@@ -648,12 +599,12 @@ mod tests {
     }
 
     #[test]
-    fn auto_algorithm_matches_spkadd_auto() {
+    fn auto_algorithm_matches_the_default_plan() {
         let ms = collection();
         let refs: Vec<&CscMatrix<f64>> = ms.iter().collect();
-        let via_auto_fn = spkadd_auto(&refs, &Options::default()).unwrap();
+        let via_plan = SpkAdd::new(6, 4).build().unwrap().execute(&refs).unwrap();
         let via_variant = spkadd_with(&refs, Algorithm::Auto, &Options::default()).unwrap();
-        assert_eq!(via_auto_fn, via_variant);
+        assert_eq!(via_plan, via_variant);
         assert!(!Algorithm::Auto.needs_sorted_inputs());
         assert!(
             !Algorithm::ALL.contains(&Algorithm::Auto),

@@ -1,21 +1,23 @@
 //! Sequential, fully-instrumented SpKAdd drivers.
 //!
-//! These run every algorithm single-threaded against one
-//! [`CountingModel`], producing the empirical work (ops) and I/O (bytes)
-//! figures that the Table I harness compares against the paper's
-//! complexity claims: 2-way incremental should scale as k², tree and heap
-//! as k·lg k in work but k in streamed I/O, SPA/hash/sliding as k.
+//! These run every algorithm single-threaded against one [`MemModel`],
+//! producing the empirical work (ops) and I/O (bytes) figures that the
+//! Table I harness compares against the paper's complexity claims: 2-way
+//! incremental should scale as k², tree and heap as k·lg k in work but k
+//! in streamed I/O, SPA/hash/sliding as k. The k-way algorithms run the
+//! production drivers' own per-range symbolic and numeric bodies, once
+//! over all columns, so the counters describe the code that ships.
 
-use crate::hashtab::{HashAccumulator, SymbolicHashTable};
-use crate::heap::KwayHeap;
-use crate::kernels::{hash_add_column, hash_symbolic_column, heap_add_column, spa_add_column};
+use crate::kway::{numeric_range, NumericKernel};
 use crate::mem::{CountingModel, MemModel};
-use crate::parallel::exclusive_prefix_sum;
-use crate::sliding::{sliding_add_column, sliding_symbolic_column, SlidingScratch};
-use crate::spa::{sliding_spa_add_column, Spa};
-use crate::twoway::{col_merge_count, col_merge_into};
+use crate::monoid::Plus;
+use crate::parallel::{exclusive_prefix_sum, OutChunk, Scheduling};
+use crate::plan::detect_sorted;
+use crate::symbolic::{symbolic_range, DriverCtx, SymbolicStrategy};
+use crate::twoway::{col_merge_count, col_merge_into_with};
+use crate::workspace::Workspace;
 use crate::{Algorithm, SpkaddError};
-use spk_sparse::{common_shape, ColView, CscMatrix, Scalar};
+use spk_sparse::{common_shape, CscMatrix, Scalar};
 
 /// Sequential instrumented 2-way addition.
 fn meter_add_pair<T: Scalar, M: MemModel>(
@@ -34,11 +36,12 @@ fn meter_add_pair<T: Scalar, M: MemModel>(
     for j in 0..n {
         let lo = colptr[j];
         let hi = colptr[j + 1];
-        col_merge_into(
+        col_merge_into_with(
             a.col(j),
             b.col(j),
             &mut rows[lo..hi],
             &mut vals[lo..hi],
+            Plus::new(),
             mem,
         );
     }
@@ -64,6 +67,11 @@ pub fn meter_spkadd<T: Scalar>(
 /// to the supplied [`MemModel`]. [`meter_spkadd`] plugs in a
 /// [`CountingModel`]; `spk-cachesim` plugs in a cache hierarchy to
 /// reproduce the paper's Cachegrind measurements (Table V).
+///
+/// The k-way algorithms run exactly what a plan built with
+/// `table_entries(budget)` runs — default symbolic strategy, sorted
+/// output, sortedness detected from the inputs — on one thread, so their
+/// results match such a plan's bit for bit.
 pub fn trace_spkadd<T: Scalar, M: MemModel>(
     mats: &[&CscMatrix<T>],
     alg: Algorithm,
@@ -71,25 +79,14 @@ pub fn trace_spkadd<T: Scalar, M: MemModel>(
     mem: &mut M,
 ) -> Result<CscMatrix<T>, SpkaddError> {
     let (m, n) = common_shape(mats)?;
-    let k = mats.len();
-    if alg.needs_sorted_inputs() {
-        for (i, mat) in mats.iter().enumerate() {
-            if !mat.is_sorted() {
-                return Err(SpkaddError::UnsortedInput {
-                    algorithm: alg.name(),
-                    operand: i,
-                });
-            }
-        }
-    }
-    // Rebind so the kernel calls below can take `&mut mem` repeatedly.
-    let mut mem = &mut *mem;
+    let strategy = SymbolicStrategy::default().for_algorithm(alg);
+    let inputs_sorted = detect_sorted(mats, alg, strategy)?;
 
     let result = match alg {
         Algorithm::TwoWayIncremental => {
             let mut acc = mats[0].clone();
             for a in &mats[1..] {
-                acc = meter_add_pair(&acc, a, &mut mem);
+                acc = meter_add_pair(&acc, a, mem);
             }
             acc
         }
@@ -97,7 +94,7 @@ pub fn trace_spkadd<T: Scalar, M: MemModel>(
             let mut level: Vec<CscMatrix<T>> = Vec::new();
             for pair in mats.chunks(2) {
                 level.push(match pair {
-                    [a, b] => meter_add_pair(a, b, &mut mem),
+                    [a, b] => meter_add_pair(a, b, mem),
                     [a] => (*a).clone(),
                     _ => unreachable!(),
                 });
@@ -106,7 +103,7 @@ pub fn trace_spkadd<T: Scalar, M: MemModel>(
                 let mut next = Vec::with_capacity(level.len().div_ceil(2));
                 for pair in level.chunks(2) {
                     next.push(match pair {
-                        [a, b] => meter_add_pair(a, b, &mut mem),
+                        [a, b] => meter_add_pair(a, b, mem),
                         [a] => a.clone(),
                         _ => unreachable!(),
                     });
@@ -134,137 +131,43 @@ pub fn trace_spkadd<T: Scalar, M: MemModel>(
         | Algorithm::Hash
         | Algorithm::SlidingHash
         | Algorithm::SlidingSpa => {
-            // Symbolic phase (hash symbolic for hash/heap/SPA as in the
-            // paper; sliding symbolic for the sliding algorithm).
-            let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
+            let kernel = NumericKernel::for_algorithm(alg).expect("k-way algorithm");
+            let ctx = DriverCtx {
+                sched: Scheduling::default(),
+                budget_sym: budget,
+                budget_add: budget,
+                inputs_sorted,
+                sorted_output: true,
+            };
+            let mut ws = Workspace::new();
             let mut counts = vec![0usize; n];
-            match alg {
-                Algorithm::SlidingHash => {
-                    let mut ht = SymbolicHashTable::with_capacity(16);
-                    let mut scratch = SlidingScratch::new();
-                    for (j, c) in counts.iter_mut().enumerate() {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        *c = sliding_symbolic_column(
-                            &views,
-                            m,
-                            budget,
-                            &mut ht,
-                            true,
-                            &mut scratch,
-                            &mut mem,
-                        );
-                    }
-                }
-                _ => {
-                    let mut ht = SymbolicHashTable::with_capacity(16);
-                    for (j, c) in counts.iter_mut().enumerate() {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        let inz: usize = views.iter().map(|v| v.nnz()).sum();
-                        ht.reserve_for(inz);
-                        *c = hash_symbolic_column(&views, &mut ht, &mut mem);
-                    }
-                }
-            }
+            symbolic_range(mats, strategy, 0..n, &mut counts, &ctx, &mut ws, mem);
             let colptr = exclusive_prefix_sum(&counts);
             let nnz = *colptr.last().unwrap();
             let mut rows = vec![0u32; nnz];
             let mut vals = vec![T::default(); nnz];
-            match alg {
-                Algorithm::Heap => {
-                    let mut heap = KwayHeap::<T>::new(k);
-                    for j in 0..n {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        let (lo, hi) = (colptr[j], colptr[j + 1]);
-                        heap_add_column(
-                            &views,
-                            &mut heap,
-                            &mut rows[lo..hi],
-                            &mut vals[lo..hi],
-                            &mut mem,
-                        );
-                    }
-                }
-                Algorithm::Spa => {
-                    let mut spa = Spa::<T>::new(m);
-                    for j in 0..n {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        let (lo, hi) = (colptr[j], colptr[j + 1]);
-                        spa_add_column(
-                            &views,
-                            &mut spa,
-                            &mut rows[lo..hi],
-                            &mut vals[lo..hi],
-                            true,
-                            &mut mem,
-                        );
-                    }
-                }
-                Algorithm::Hash => {
-                    let mut ht = HashAccumulator::<T>::with_capacity(16);
-                    for j in 0..n {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        let (lo, hi) = (colptr[j], colptr[j + 1]);
-                        ht.reserve_for(hi - lo);
-                        hash_add_column(
-                            &views,
-                            &mut ht,
-                            &mut rows[lo..hi],
-                            &mut vals[lo..hi],
-                            true,
-                            &mut mem,
-                        );
-                    }
-                }
-                Algorithm::SlidingHash => {
-                    let mut ht = HashAccumulator::<T>::with_capacity(16);
-                    let mut scratch = SlidingScratch::new();
-                    for j in 0..n {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        let (lo, hi) = (colptr[j], colptr[j + 1]);
-                        sliding_add_column(
-                            &views,
-                            m,
-                            budget,
-                            hi - lo,
-                            &mut ht,
-                            &mut rows[lo..hi],
-                            &mut vals[lo..hi],
-                            true,
-                            true,
-                            &mut scratch,
-                            &mut mem,
-                        );
-                    }
-                }
-                Algorithm::SlidingSpa => {
-                    let mut spa = Spa::<T>::new(m.min(budget.max(1)));
-                    let mut scratch = SlidingScratch::new();
-                    for j in 0..n {
-                        views.clear();
-                        views.extend(mats.iter().map(|a| a.col(j)));
-                        let (lo, hi) = (colptr[j], colptr[j + 1]);
-                        sliding_spa_add_column(
-                            &views,
-                            m,
-                            budget,
-                            &mut spa,
-                            &mut rows[lo..hi],
-                            &mut vals[lo..hi],
-                            true,
-                            true,
-                            &mut scratch,
-                            &mut mem,
-                        );
-                    }
-                }
-                _ => unreachable!(),
-            }
+            let chunk = OutChunk {
+                cols: 0..n,
+                base: 0,
+                rows: &mut rows,
+                vals: &mut vals,
+            };
+            // `Plus` never filters and the default strategy counts
+            // exactly, so every column fills its window: no compaction.
+            let mut written = vec![0usize; n];
+            numeric_range(
+                mats,
+                kernel,
+                &colptr,
+                chunk,
+                &mut written,
+                false,
+                Plus::new(),
+                &ctx,
+                &mut ws,
+                mem,
+            );
+            debug_assert_eq!(written, counts);
             CscMatrix::from_parts(m, n, colptr, rows, vals)
         }
     };

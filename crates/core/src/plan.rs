@@ -29,7 +29,7 @@
 //! ```
 
 use crate::kway::{
-    kway_numeric, kway_numeric_cached, KernelCounts, KernelDispatch, NumericKernel, RecycledBufs,
+    kway_numeric, KernelCounts, KernelDispatch, NumericKernel, RecycledBufs, Structure,
 };
 use crate::monoid::{Monoid, Plus};
 use crate::parallel::Scheduling;
@@ -378,33 +378,6 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
         alg
     }
 
-    /// Sortedness: detect (or trust) once per execution, failing fast for
-    /// algorithms that require sorted inputs.
-    fn detect_sorted(&self, mats: &[&CscMatrix<T>]) -> Result<bool, SpkaddError> {
-        if !self.opts.validate_sorted {
-            return Ok(true);
-        }
-        let mut all_sorted = true;
-        for (i, m) in mats.iter().enumerate() {
-            if !m.is_sorted() {
-                if self.algorithm.needs_sorted_inputs() {
-                    return Err(SpkaddError::UnsortedInput {
-                        algorithm: self.algorithm.name(),
-                        operand: i,
-                    });
-                }
-                if self.opts.symbolic == SymbolicStrategy::Heap {
-                    return Err(SpkaddError::UnsortedInput {
-                        algorithm: "heap symbolic",
-                        operand: i,
-                    });
-                }
-                all_sorted = false;
-            }
-        }
-        Ok(all_sorted)
-    }
-
     fn run(
         &mut self,
         mats: &[&CscMatrix<T>],
@@ -419,22 +392,18 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
                 operand: 0,
             }));
         }
-        let inputs_sorted = self.detect_sorted(mats)?;
+        let inputs_sorted = if self.opts.validate_sorted {
+            detect_sorted(mats, self.algorithm, self.opts.symbolic)?
+        } else {
+            true
+        };
         let alg = self.resolve(mats, inputs_sorted);
         debug_assert_ne!(
             alg,
             Algorithm::Auto,
             "resolution yields concrete algorithms"
         );
-        let kernel = match alg {
-            Algorithm::Heap => Some(NumericKernel::Heap),
-            Algorithm::Spa => Some(NumericKernel::Spa),
-            Algorithm::Hash => Some(NumericKernel::Hash),
-            Algorithm::SlidingHash => Some(NumericKernel::SlidingHash),
-            Algorithm::SlidingSpa => Some(NumericKernel::SlidingSpa),
-            // The 2-way/library folds have no symbolic phase to skip.
-            _ => None,
-        };
+        let kernel = NumericKernel::for_algorithm(alg);
 
         // Pattern-cache routing. Only the k-way family benefits, and only
         // non-filtering monoids are sound: a filtering monoid's output
@@ -513,9 +482,9 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
         let body = move || {
             if let Some(pattern) = hit_pattern.as_deref() {
                 let ((out, decisions), dur) = spk_obs::timed("spkadd.numeric", || {
-                    kway_numeric_cached(
+                    kway_numeric(
                         mats,
-                        pattern,
+                        Structure::Cached(pattern),
                         dispatch
                             .as_ref()
                             .expect("hits only occur on the k-way path"),
@@ -577,15 +546,7 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
                 | Algorithm::Hash
                 | Algorithm::SlidingHash
                 | Algorithm::SlidingSpa => {
-                    // Alg 8 line 2: the sliding algorithm's symbolic phase
-                    // slides too, unless the caller explicitly picked
-                    // another strategy.
-                    let strategy =
-                        if alg == Algorithm::SlidingHash && symbolic == SymbolicStrategy::Hash {
-                            SymbolicStrategy::SlidingHash
-                        } else {
-                            symbolic
-                        };
+                    let strategy = symbolic.for_algorithm(alg);
                     let (counts, sym_dur) = spk_obs::timed("spkadd.symbolic", || {
                         symbolic_counts(mats, strategy, &ctx, pool)
                     });
@@ -593,8 +554,12 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
                     let dispatch = dispatch
                         .as_ref()
                         .expect("k-way algorithms map to a dispatch");
+                    let structure = Structure::Counts {
+                        counts: &counts,
+                        exact,
+                    };
                     let ((out, decisions), num_dur) = spk_obs::timed("spkadd.numeric", || {
-                        kway_numeric(mats, &counts, exact, dispatch, monoid, &ctx, pool, recycle)
+                        kway_numeric(mats, structure, dispatch, monoid, &ctx, pool, recycle)
                     });
                     (
                         out,
@@ -633,6 +598,37 @@ impl<T: Element, O: Monoid<Value = T>> SpkAddPlan<T, O> {
         self.executions += 1;
         Ok((out, stats))
     }
+}
+
+/// Sortedness: scans the inputs once, failing fast when `alg` or the
+/// `symbolic` strategy requires sorted columns; otherwise reports whether
+/// every column is sorted (which selects the sliding kernels' panelling).
+/// Plans run it when `validate_sorted` is on; the metered drivers always
+/// do.
+pub(crate) fn detect_sorted<T: Element>(
+    mats: &[&CscMatrix<T>],
+    alg: Algorithm,
+    symbolic: SymbolicStrategy,
+) -> Result<bool, SpkaddError> {
+    let mut all_sorted = true;
+    for (i, m) in mats.iter().enumerate() {
+        if !m.is_sorted() {
+            if alg.needs_sorted_inputs() {
+                return Err(SpkaddError::UnsortedInput {
+                    algorithm: alg.name(),
+                    operand: i,
+                });
+            }
+            if symbolic == SymbolicStrategy::Heap {
+                return Err(SpkaddError::UnsortedInput {
+                    algorithm: "heap symbolic",
+                    operand: i,
+                });
+            }
+            all_sorted = false;
+        }
+    }
+    Ok(all_sorted)
 }
 
 #[cfg(test)]

@@ -17,8 +17,8 @@
 use crate::hashtab::{HashAccumulator, SymbolicHashTable};
 use crate::kernels::{hash_add_column_with, hash_symbolic_column};
 use crate::mem::MemModel;
-use crate::monoid::{Monoid, Plus};
-use spk_sparse::{ColView, Element, Scalar};
+use crate::monoid::Monoid;
+use spk_sparse::{ColView, Element};
 
 /// Per-thread hash-table budget in *entries*, derived from the machine
 /// model (Alg 7/8 line 3 rearranged): `M / (b·T)`.
@@ -143,46 +143,14 @@ pub fn sliding_symbolic_column<T: Element, M: MemModel>(
 }
 
 /// Sliding-hash addition for one column (Algorithm 8): fills the output
-/// slices panel by panel using tables of at most `budget` entries.
-/// `onz` is the column's output size from the symbolic phase. Returns the
+/// slices panel by panel using tables of at most `budget` entries,
+/// folding duplicate rows with `monoid`. `onz` is the column's output
+/// size from the symbolic phase — only an upper bound under a filtering
+/// monoid, so fewer than `onz` entries may be written. Returns the
 /// entries written.
 ///
 /// Panels cover ascending row ranges, so when `sorted` is requested each
 /// panel is emitted sorted and the concatenation is globally sorted.
-#[allow(clippy::too_many_arguments)]
-pub fn sliding_add_column<T: Scalar, M: MemModel>(
-    cols: &[ColView<'_, T>],
-    m: usize,
-    budget: usize,
-    onz: usize,
-    ht: &mut HashAccumulator<T>,
-    out_rows: &mut [u32],
-    out_vals: &mut [T],
-    sorted: bool,
-    inputs_sorted: bool,
-    scratch: &mut SlidingScratch<T>,
-    mem: &mut M,
-) -> usize {
-    sliding_add_column_with(
-        cols,
-        m,
-        budget,
-        onz,
-        ht,
-        out_rows,
-        out_vals,
-        sorted,
-        inputs_sorted,
-        Plus::new(),
-        scratch,
-        mem,
-    )
-}
-
-/// Monoid-generic sliding-hash addition — see [`sliding_add_column`],
-/// which is this with [`Plus`]. With a filtering monoid the symbolic
-/// `onz` is only an upper bound, so fewer than `onz` entries may be
-/// written.
 #[allow(clippy::too_many_arguments)]
 pub fn sliding_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
     cols: &[ColView<'_, T>],
@@ -262,6 +230,7 @@ pub fn sliding_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
 mod tests {
     use super::*;
     use crate::mem::NullModel;
+    use crate::monoid::Plus;
 
     fn mk_cols() -> (Vec<u32>, Vec<f64>, Vec<u32>, Vec<f64>) {
         // Two columns over m = 64 rows with overlap in every panel.
@@ -302,12 +271,13 @@ mod tests {
         let mut ht = HashAccumulator::<f64>::with_capacity(64);
         let mut ref_rows = vec![0u32; 64];
         let mut ref_vals = vec![0.0f64; 64];
-        let n_ref = crate::kernels::hash_add_column(
+        let n_ref = hash_add_column_with(
             &cols,
             &mut ht,
             &mut ref_rows,
             &mut ref_vals,
             true,
+            Plus::new(),
             &mut mem,
         );
 
@@ -319,7 +289,7 @@ mod tests {
         let mut ht2 = HashAccumulator::<f64>::with_capacity(4);
         let mut rows = vec![0u32; onz];
         let mut vals = vec![0.0f64; onz];
-        let n = sliding_add_column(
+        let n = sliding_add_column_with(
             &cols,
             64,
             8,
@@ -329,6 +299,7 @@ mod tests {
             &mut vals,
             true,
             true,
+            Plus::new(),
             &mut scratch,
             &mut mem,
         );
@@ -384,7 +355,7 @@ mod tests {
         let mut ht = HashAccumulator::<f64>::with_capacity(4);
         let mut rows_a = vec![0u32; onz_sorted];
         let mut vals_a = vec![0.0f64; onz_sorted];
-        sliding_add_column(
+        sliding_add_column_with(
             &sorted_cols,
             64,
             8,
@@ -394,12 +365,13 @@ mod tests {
             &mut vals_a,
             true,
             true,
+            Plus::new(),
             &mut scratch,
             &mut mem,
         );
         let mut rows_b = vec![0u32; onz_unsorted];
         let mut vals_b = vec![0.0f64; onz_unsorted];
-        sliding_add_column(
+        sliding_add_column_with(
             &unsorted_cols,
             64,
             8,
@@ -409,6 +381,7 @@ mod tests {
             &mut vals_b,
             true,
             false,
+            Plus::new(),
             &mut scratch,
             &mut mem,
         );

@@ -372,7 +372,7 @@ mod tests {
     #[test]
     fn unsorted_output_options_do_not_corrupt_the_merge() {
         // Regression: with the caller preferring unsorted output, batch
-        // sums must still be sorted internally or the add_pair streaming
+        // sums must still be sorted internally or the 2-way streaming
         // merge mis-sums. Force several flushes and check exactness.
         let mats: Vec<CscMatrix<f64>> = (0..9).map(|i| shifted_diag(16, i % 4)).collect();
         let refs: Vec<&CscMatrix<f64>> = mats.iter().collect();

@@ -7,14 +7,19 @@
 //! also provided, as is the trivial upper bound `Σ_i nnz(A_i(:,j))` which
 //! skips the symbolic pass at the cost of a compaction after the numeric
 //! phase — the trade-off explored by the `ablation_symbolic` harness.
+//!
+//! `symbolic_range` holds the per-column body; the parallel driver and
+//! the metered drivers both call it.
 
 use crate::kernels::{hash_symbolic_column, heap_symbolic_column, spa_symbolic_column};
-use crate::mem::NullModel;
+use crate::mem::{MemModel, NullModel};
 use crate::parallel::{plan_ranges, Scheduling};
 use crate::sliding::sliding_symbolic_column;
-use crate::workspace::WorkspacePool;
+use crate::workspace::{Workspace, WorkspacePool};
+use crate::Algorithm;
 use rayon::prelude::*;
 use spk_sparse::{ColView, CscMatrix, Element};
+use std::ops::Range;
 
 /// Which data structure computes the per-column output sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,6 +39,19 @@ pub enum SymbolicStrategy {
     /// Skip the symbolic pass: use `Σ_i nnz(A_i(:,j))` as an upper bound
     /// and compact after the numeric phase.
     UpperBound,
+}
+
+impl SymbolicStrategy {
+    /// The strategy that actually runs for `alg` when `self` was asked
+    /// for. Alg 8 line 2: the sliding algorithm's symbolic phase slides
+    /// too, unless the caller explicitly picked a non-default strategy.
+    pub(crate) fn for_algorithm(self, alg: Algorithm) -> Self {
+        if alg == Algorithm::SlidingHash && self == SymbolicStrategy::Hash {
+            SymbolicStrategy::SlidingHash
+        } else {
+            self
+        }
+    }
 }
 
 /// Tuning knobs threaded through the symbolic/numeric drivers.
@@ -78,58 +96,72 @@ pub(crate) fn symbolic_counts<T: Element>(
     ctx: &DriverCtx,
     pool: &WorkspacePool<T>,
 ) -> Vec<usize> {
-    let n = mats[0].ncols();
-    let m = mats[0].nrows();
-    let k = mats.len();
     let weights = input_nnz_per_column(mats);
     if strategy == SymbolicStrategy::UpperBound {
         return weights;
     }
     let ranges = plan_ranges(&weights, 0, ctx.sched);
-    let mut counts = vec![0usize; n];
-    let mut tasks: Vec<(std::ops::Range<usize>, &mut [usize])> = Vec::new();
+    let mut counts = vec![0usize; weights.len()];
+    let mut tasks: Vec<(Range<usize>, &mut [usize])> = Vec::with_capacity(ranges.len());
     {
         let mut rest = counts.as_mut_slice();
-        for r in &ranges {
+        for r in ranges {
             let (head, tail) = rest.split_at_mut(r.len());
-            tasks.push((r.clone(), head));
+            tasks.push((r, head));
             rest = tail;
         }
     }
-
-    tasks.into_par_iter().for_each(|(cols_range, out)| {
-        let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
-        let mut mem = NullModel;
+    tasks.into_par_iter().for_each(|(cols, out)| {
         let mut ws = pool.for_current_thread();
-        for (slot, j) in cols_range.into_iter().enumerate() {
-            views.clear();
-            views.extend(mats.iter().map(|a| a.col(j)));
-            out[slot] = match strategy {
-                SymbolicStrategy::Hash => {
-                    let ht = ws.sym_hash();
-                    let inz: usize = views.iter().map(|c| c.nnz()).sum();
-                    ht.reserve_for(inz);
-                    hash_symbolic_column(&views, ht, &mut mem)
-                }
-                SymbolicStrategy::SlidingHash => {
-                    let (ht, scratch) = ws.sym_hash_and_scratch();
-                    sliding_symbolic_column(
-                        &views,
-                        m,
-                        ctx.budget_sym,
-                        ht,
-                        ctx.inputs_sorted,
-                        scratch,
-                        &mut mem,
-                    )
-                }
-                SymbolicStrategy::Spa => spa_symbolic_column(&views, ws.spa(m), &mut mem),
-                SymbolicStrategy::Heap => heap_symbolic_column(&views, ws.heap(k), &mut mem),
-                SymbolicStrategy::UpperBound => unreachable!("handled above"),
-            };
-        }
+        symbolic_range(mats, strategy, cols, out, ctx, &mut ws, &mut NullModel);
     });
     counts
+}
+
+/// Writes `nnz(B(:,j))` for every column `j` in `cols` into `out` (one
+/// slot per column) — the one dispatch over [`SymbolicStrategy`]. The
+/// parallel driver calls it once per chunk with [`NullModel`]; the
+/// metered drivers call it once over all columns with the caller's
+/// [`MemModel`], so both run the same code.
+pub(crate) fn symbolic_range<T: Element, M: MemModel>(
+    mats: &[&CscMatrix<T>],
+    strategy: SymbolicStrategy,
+    cols: Range<usize>,
+    out: &mut [usize],
+    ctx: &DriverCtx,
+    ws: &mut Workspace<T>,
+    mem: &mut M,
+) {
+    debug_assert_eq!(out.len(), cols.len());
+    let m = mats[0].nrows();
+    let k = mats.len();
+    let mut views: Vec<ColView<'_, T>> = Vec::with_capacity(k);
+    for (slot, j) in out.iter_mut().zip(cols) {
+        views.clear();
+        views.extend(mats.iter().map(|a| a.col(j)));
+        *slot = match strategy {
+            SymbolicStrategy::Hash => {
+                let ht = ws.sym_hash();
+                ht.reserve_for(views.iter().map(|c| c.nnz()).sum());
+                hash_symbolic_column(&views, ht, mem)
+            }
+            SymbolicStrategy::SlidingHash => {
+                let (ht, scratch) = ws.sym_hash_and_scratch();
+                sliding_symbolic_column(
+                    &views,
+                    m,
+                    ctx.budget_sym,
+                    ht,
+                    ctx.inputs_sorted,
+                    scratch,
+                    mem,
+                )
+            }
+            SymbolicStrategy::Spa => spa_symbolic_column(&views, ws.spa(m), mem),
+            SymbolicStrategy::Heap => heap_symbolic_column(&views, ws.heap(k), mem),
+            SymbolicStrategy::UpperBound => views.iter().map(|c| c.nnz()).sum(),
+        };
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Quickstart: add a collection of sparse matrices four ways and verify
+//! Quickstart: add a collection of sparse matrices three ways and verify
 //! they agree — including the plan/execute front door, which reuses its
 //! kernel workspaces across repeated executions.
 //!
@@ -8,7 +8,7 @@
 
 use spkadd_suite::gen::{generate_collection, Pattern};
 use spkadd_suite::sparse::CscMatrix;
-use spkadd_suite::{spkadd_auto, spkadd_with, Algorithm, Options, SpkAdd};
+use spkadd_suite::{spkadd_with, Algorithm, Options, SpkAdd};
 
 fn main() {
     // 16 sparse matrices, 65 536 × 64, ~32 nonzeros per column — the
@@ -45,16 +45,8 @@ fn main() {
         t.elapsed().as_secs_f64() * 1e3
     );
 
-    // 3. Let the library pick (Fig 2 decision surface).
-    let t = spk_obs::now();
-    let auto = spkadd_auto(&refs, &opts).expect("auto spkadd");
-    println!(
-        "auto:        {} output nnz in {:.1} ms",
-        auto.nnz(),
-        t.elapsed().as_secs_f64() * 1e3
-    );
-
-    // 4. The front door for repeat callers: build a plan once, execute it
+    // 3. The front door: a plan that lets the library pick (the Fig 2
+    //    decision surface, per column chunk). Build it once, execute it
     //    many times — hash tables and scratch persist between calls.
     let (nrows, ncols) = (mats[0].nrows(), mats[0].ncols());
     let mut plan = SpkAdd::new(nrows, ncols)
@@ -62,15 +54,15 @@ fn main() {
         .build()
         .expect("plan");
     let t = spk_obs::now();
-    let first = plan.execute(&refs).expect("planned spkadd");
+    let auto = plan.execute(&refs).expect("planned spkadd");
     let t_first = t.elapsed().as_secs_f64();
     let t = spk_obs::now();
-    let second = plan.execute(&refs).expect("planned spkadd");
+    let again = plan.execute(&refs).expect("planned spkadd");
     let t_second = t.elapsed().as_secs_f64();
     println!(
-        "plan:        {} output nnz in {:.1} ms cold, {:.1} ms warm \
+        "auto plan:   {} output nnz in {:.1} ms cold, {:.1} ms warm \
          ({} workspace builds total across {} executions)",
-        first.nnz(),
+        auto.nnz(),
         t_first * 1e3,
         t_second * 1e3,
         plan.workspace_allocations(),
@@ -79,7 +71,6 @@ fn main() {
 
     assert!(hash.approx_eq(&tree, 1e-9), "hash and tree must agree");
     assert!(hash.approx_eq(&auto, 1e-9), "hash and auto must agree");
-    assert!(hash.approx_eq(&first, 1e-9), "hash and plan must agree");
-    assert!(first.approx_eq(&second, 0.0), "plan must be deterministic");
-    println!("all four paths agree ✓");
+    assert_eq!(auto, again, "plan must be deterministic");
+    println!("all three paths agree ✓");
 }
