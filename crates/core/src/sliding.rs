@@ -8,6 +8,12 @@
 //! hash kernel once per range, so each table stays cache-resident and the
 //! output is produced range by range ("sliding" down the column).
 //!
+//! Hash tables run at load ≤ 1/2 (`hashtab::table_size_for`), so both
+//! hash kernels cut panels against half the entry budget
+//! (`panel_entries`): a panel's table then occupies at most the
+//! power of two the budget rounds up to — never more slots than tables
+//! sized at load ~1 for the full budget.
+//!
 //! Row panels are located by binary search when the input columns are
 //! sorted (the paper's method). For unsorted inputs — which plain hash
 //! accepts and sliding hash should too — a single bucketing pass scatters
@@ -32,6 +38,13 @@ pub fn budget_entries(llc_bytes: usize, entry_bytes: usize, threads: usize) -> u
 #[inline]
 pub fn num_parts(needed_entries: usize, budget: usize) -> usize {
     needed_entries.div_ceil(budget.max(1)).max(1)
+}
+
+/// Entries per hash panel for an entry budget: half of it, so a table at
+/// load ≤ 1/2 fits the budget's slots.
+#[inline]
+fn panel_entries(budget: usize) -> usize {
+    budget.div_ceil(2)
 }
 
 /// Reusable scratch for the unsorted bucketing path.
@@ -87,7 +100,7 @@ fn panel_bound(i: usize, parts: usize, m: usize) -> u32 {
 }
 
 /// Sliding-hash symbolic phase for one column (Algorithm 7): counts
-/// `nnz(B(:,j))` using tables of at most `budget` entries.
+/// `nnz(B(:,j))` using tables sized for at most half of `budget` entries.
 ///
 /// `inputs_sorted` selects binary-search panelling (paper) vs bucketing.
 #[allow(clippy::too_many_arguments)]
@@ -101,6 +114,7 @@ pub fn sliding_symbolic_column<T: Element, M: MemModel>(
     mem: &mut M,
 ) -> usize {
     let inz: usize = cols.iter().map(|c| c.nnz()).sum();
+    let budget = panel_entries(budget);
     let parts = num_parts(inz, budget);
     if parts == 1 {
         ht.reserve_for(inz);
@@ -115,8 +129,8 @@ pub fn sliding_symbolic_column<T: Element, M: MemModel>(
             sub.clear();
             sub.extend(cols.iter().map(|c| c.row_range(r1, r2)));
             let panel_inz: usize = sub.iter().map(|c| c.nnz()).sum();
-            // The paper's budget semantics: allocate at most `budget`
-            // entries; a panel with more distinct rows grows on demand.
+            // The paper's budget semantics: allocate at most the budget's
+            // slots; a panel with more distinct rows grows on demand.
             ht.reserve_for(panel_inz.min(budget));
             nz += hash_symbolic_column(&sub, ht, mem);
         }
@@ -143,11 +157,11 @@ pub fn sliding_symbolic_column<T: Element, M: MemModel>(
 }
 
 /// Sliding-hash addition for one column (Algorithm 8): fills the output
-/// slices panel by panel using tables of at most `budget` entries,
-/// folding duplicate rows with `monoid`. `onz` is the column's output
-/// size from the symbolic phase — only an upper bound under a filtering
-/// monoid, so fewer than `onz` entries may be written. Returns the
-/// entries written.
+/// slices panel by panel using tables sized for at most half of `budget`
+/// entries, folding duplicate rows with `monoid`. `onz` is the column's
+/// output size from the symbolic phase — only an upper bound under a
+/// filtering monoid, so fewer than `onz` entries may be written. Returns
+/// the entries written.
 ///
 /// Panels cover ascending row ranges, so when `sorted` is requested each
 /// panel is emitted sorted and the concatenation is globally sorted.
@@ -166,6 +180,7 @@ pub fn sliding_add_column_with<T: Element, O: Monoid<Value = T>, M: MemModel>(
     scratch: &mut SlidingScratch<T>,
     mem: &mut M,
 ) -> usize {
+    let budget = panel_entries(budget);
     let parts = num_parts(onz, budget);
     if parts == 1 {
         ht.reserve_for(onz);
@@ -408,6 +423,54 @@ mod tests {
             &mut NullModel,
         );
         assert_eq!(onz, r1.len());
+    }
+
+    #[test]
+    fn sliding_tables_keep_budget_footprint() {
+        // 1000 distinct rows against a 64-entry budget. Tables sized at
+        // load ~1 for full-budget panels held 128 slots here; at load
+        // <= 1/2 over half-budget panels they must not hold more.
+        let rows: Vec<u32> = (0..1000).map(|i| i * 4).collect();
+        let vals = vec![1.0f64; rows.len()];
+        let cols = [ColView {
+            rows: &rows,
+            vals: &vals,
+        }];
+        let mut mem = NullModel;
+        let mut scratch = SlidingScratch::new();
+        for inputs_sorted in [true, false] {
+            let mut sht = SymbolicHashTable::with_capacity(4);
+            let onz = sliding_symbolic_column(
+                &cols,
+                4096,
+                64,
+                &mut sht,
+                inputs_sorted,
+                &mut scratch,
+                &mut mem,
+            );
+            assert_eq!(onz, 1000);
+            let mut ht = HashAccumulator::<f64>::with_capacity(4);
+            let mut out_rows = vec![0u32; onz];
+            let mut out_vals = vec![0.0f64; onz];
+            let n = sliding_add_column_with(
+                &cols,
+                4096,
+                64,
+                onz,
+                &mut ht,
+                &mut out_rows,
+                &mut out_vals,
+                true,
+                inputs_sorted,
+                Plus::new(),
+                &mut scratch,
+                &mut mem,
+            );
+            assert_eq!((n, &out_rows), (1000, &rows));
+            assert!(sht.capacity() <= 128, "symbolic: {}", sht.capacity());
+            assert!(ht.capacity() <= 128, "numeric: {}", ht.capacity());
+        }
     }
 
     #[test]
